@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/calcm/heterosim/internal/core"
 	"github.com/calcm/heterosim/internal/project"
 	"github.com/calcm/heterosim/internal/report"
 	"github.com/calcm/heterosim/internal/sensitivity"
@@ -45,11 +44,6 @@ func cmdSensitivity(args []string) error {
 	if err != nil {
 		return err
 	}
-	ev := core.NewEvaluator()
-	var opt sensitivity.Optimizer = ev
-	if sel.Model != nil {
-		opt = sel.Model
-	}
 	printModelBanner(sel)
 
 	t := report.NewTable(
@@ -64,7 +58,7 @@ func cmdSensitivity(args []string) error {
 		return fmt.Sprintf("%.2f", v)
 	}
 	for _, d := range designs {
-		prof, err := sensitivity.ProfileWorkers(opt, d, *f, budgets, 0.01, *workers)
+		prof, err := sensitivity.ProfileWorkers(sel.Model, d, *f, budgets, 0.01, *workers)
 		if err != nil {
 			t.AddRow(d.Label, "infeasible")
 			continue
@@ -84,7 +78,7 @@ func cmdSensitivity(args []string) error {
 		fmt.Sprintf("Monte Carlo speedup intervals (sigma=%.2f, %d draws)", *sigma, *samples),
 		"Design", "nominal", "p05", "median", "p95")
 	for _, d := range designs {
-		iv, err := sensitivity.MonteCarloWorkers(opt, d, *f, budgets, *sigma, *samples, 1, *workers)
+		iv, err := sensitivity.MonteCarloWorkers(sel.Model, d, *f, budgets, *sigma, *samples, 1, *workers)
 		if err != nil {
 			mc.AddRow(d.Label, "infeasible")
 			continue

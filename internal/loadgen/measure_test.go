@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -20,7 +21,7 @@ func TestMeasureBench8(t *testing.T) {
 		t.Skip("set HETEROSIM_MEASURE=1 to regenerate BENCH_8.json")
 	}
 	m := DefaultMatrix()
-	sums, err := RunMatrix(t.Context(), m, MatrixOptions{Progress: os.Stderr})
+	sums, err := RunMatrix(context.Background(), m, MatrixOptions{Progress: os.Stderr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestMeasureBench9(t *testing.T) {
 		t.Skip("set HETEROSIM_MEASURE=1 to regenerate BENCH_9.json")
 	}
 	m := DefaultClusterMatrix()
-	sums, err := RunClusterMatrix(t.Context(), m, MatrixOptions{Progress: os.Stderr})
+	sums, err := RunClusterMatrix(context.Background(), m, MatrixOptions{Progress: os.Stderr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,12 +29,21 @@ func (chungBackend) New(alpha float64, maxR int, params json.RawMessage) (Model,
 	if err := decodeParams(params, &none); err != nil {
 		return nil, nil, err
 	}
+	if alpha == pollack.DefaultAlpha && maxR == 16 {
+		return defaultChung, nil, nil
+	}
 	law, err := pollack.New(alpha)
 	if err != nil {
 		return nil, nil, err
 	}
 	return chungModel{ev: core.Evaluator{Law: law, MaxR: maxR}}, nil, nil
 }
+
+// defaultChung is the paper-default instance (alpha 1.75, MaxR 16).
+// Instances are immutable, so every default request shares this one
+// instead of rebuilding the Pollack law's tables, and New stays
+// allocation-free on the default path.
+var defaultChung Model = chungModel{ev: core.NewEvaluator()}
 
 type chungModel struct {
 	ev core.Evaluator

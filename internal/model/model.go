@@ -35,18 +35,13 @@ import (
 	"github.com/calcm/heterosim/internal/pollack"
 )
 
-// Optimizer is the minimal evaluation surface the projection,
-// sensitivity, and serving fan-outs consume: optimize the design point
-// for one objective under one budget triple. core.Evaluator satisfies
-// it, so the legacy path and every backend flow through one shape.
-type Optimizer interface {
-	Optimize(d core.Design, f float64, b bounds.Budgets) (core.Point, error)
-	OptimizeEnergy(d core.Design, f float64, b bounds.Budgets) (core.Point, error)
-}
-
 // Model is one configured backend instance.
 type Model interface {
-	Optimizer
+	// Optimize and OptimizeEnergy optimize the design point for one
+	// objective under one budget triple: the surface the projection,
+	// sensitivity, and serving fan-outs consume.
+	Optimize(d core.Design, f float64, b bounds.Budgets) (core.Point, error)
+	OptimizeEnergy(d core.Design, f float64, b bounds.Budgets) (core.Point, error)
 
 	// Name is the backend's canonical registry name, e.g. "chung".
 	Name() string
@@ -162,21 +157,12 @@ func Canonical(name string) (string, error) {
 	return n, nil
 }
 
-// Lookup returns the backend registered under the canonicalized name.
-func Lookup(name string) (Backend, error) {
-	canon, err := Canonical(name)
-	if err != nil {
-		return nil, err
-	}
-	return backends[canon], nil
-}
-
 // New canonicalizes the name and builds a configured instance.
 // alpha <= 0 means the paper default (1.75); maxR <= 0 means the
 // paper's sweep bound (16). The returned RawMessage is the canonical
 // parameter encoding (nil when the backend takes none).
 func New(name string, alpha float64, maxR int, params json.RawMessage) (Model, json.RawMessage, error) {
-	b, err := Lookup(name)
+	canon, err := Canonical(name)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -186,13 +172,14 @@ func New(name string, alpha float64, maxR int, params json.RawMessage) (Model, j
 	if maxR <= 0 {
 		maxR = 16
 	}
-	return b.New(alpha, maxR, params)
+	return backends[canon].New(alpha, maxR, params)
 }
 
 // Factory defers instance construction until the projection layer knows
 // its (alpha, maxR): Scenario 6 rewrites alpha and the sequential-sizing
 // ablation pins maxR, and those configuration transforms must reach the
-// backend. A nil Factory means the legacy Chung evaluator path.
+// backend. Callers that take a Factory treat nil as the default
+// backend, NewFactory(DefaultName, nil).
 type Factory func(alpha float64, maxR int) (Model, error)
 
 // NewFactory returns a Factory closing over a validated (name, params)

@@ -38,8 +38,8 @@ type Config struct {
 	Alpha            float64 // sequential power exponent (paper: 1.75)
 	MaxR             int     // sequential-core sweep bound (paper: 16)
 
-	// Model, when non-nil, selects the model backend evaluating each
-	// design x node cell; nil means the paper's Chung evaluator (the
+	// Model selects the model backend evaluating each design x node
+	// cell; nil means the default backend, the paper's Chung model (the
 	// analytic fast path). The factory runs after all config transforms
 	// (scenario alpha overrides, ablation MaxR pinning) so backends see
 	// the final Alpha and MaxR.
@@ -82,15 +82,6 @@ func (c Config) Validate() error {
 		return errors.New("project: MaxR must be >= 1")
 	}
 	return nil
-}
-
-// evaluator builds the core evaluator for this config.
-func (c Config) evaluator() (core.Evaluator, error) {
-	law, err := pollack.New(c.Alpha)
-	if err != nil {
-		return core.Evaluator{}, err
-	}
-	return core.Evaluator{Law: law, MaxR: c.MaxR}, nil
 }
 
 // BudgetsAt converts the config's physical budgets at one node into
@@ -253,12 +244,11 @@ func projectWith(ctx context.Context, cfg Config, f float64, energy bool) ([]Tra
 	if err != nil {
 		return nil, err
 	}
-	var optimizer model.Optimizer
-	if cfg.Model != nil {
-		optimizer, err = cfg.Model(cfg.Alpha, cfg.MaxR)
-	} else {
-		optimizer, err = cfg.evaluator()
+	mk := cfg.Model
+	if mk == nil {
+		mk = model.NewFactory(model.DefaultName, nil)
 	}
+	optimizer, err := mk(cfg.Alpha, cfg.MaxR)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -136,8 +137,12 @@ func TestZeroCapacityStillCoalesces(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Wait until the single evaluation is in flight, then release it.
-	for c.Stats().Inflight == 0 {
+	// Release the single evaluation only once every other waiter has
+	// joined its flight: with storage off, a goroutine that reaches Do
+	// after the flight finishes recomputes by design, so closing the gate
+	// earlier would make the count depend on scheduling.
+	for c.Stats().Coalesced < waiters-1 {
+		runtime.Gosched()
 	}
 	close(gate)
 	wg.Wait()

@@ -105,16 +105,6 @@ func splitKey(key string) (path, body string, ok bool) {
 	return key[:i], key[i+1:], true
 }
 
-// lookup routes one keyed model evaluation: the local cache when
-// single-node or when this request already crossed a peer boundary
-// (the single-hop guarantee), the cluster tier otherwise.
-func (s *Server) lookup(r *http.Request, ctx context.Context, key string, fn func(ctx context.Context) ([]byte, error)) ([]byte, servecache.Outcome, error) {
-	if s.cluster == nil || r.Header.Get(headerPeerHop) != "" {
-		return s.cache.Do(ctx, key, fn)
-	}
-	return s.cluster.Do(ctx, key, fn)
-}
-
 // Cluster exposes the peer tier (nil when single-node), for tests and
 // the daemon's startup log.
 func (s *Server) Cluster() *servecache.Cluster { return s.cluster }

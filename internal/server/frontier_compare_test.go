@@ -168,6 +168,13 @@ func TestStreamParamDispatch(t *testing.T) {
 		t.Errorf("compare?stream=ndjson: status = %d, want 400 (body %s)", rec.Code, rec.Body)
 	}
 
+	// The batch envelope is buffered-only too: it runs the same lifecycle.
+	rec = do(t, s, http.MethodPost, "/v1/batch?stream=ndjson",
+		`{"items":[{"op":"optimize","request":{"workload":"MMM","f":0.9,"design":{"kind":"sym"}}}]}`)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "batch does not stream") {
+		t.Errorf("batch?stream=ndjson: status = %d (body %s), want 400 naming batch", rec.Code, rec.Body)
+	}
+
 	rec = do(t, s, http.MethodPost, "/v1/sweep?stream=xml", streamSweepBody)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("sweep?stream=xml: status = %d, want 400 (body %s)", rec.Code, rec.Body)

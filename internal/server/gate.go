@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -80,6 +81,37 @@ func (g *gate) acquire(ctx context.Context) (release func(), status int) {
 		}
 		g.rejectedTimeout.Add(1)
 		return nil, http.StatusServiceUnavailable
+	}
+}
+
+// grant is one request's admission through the gate, shared by every
+// evaluation the request makes: the first one acquires a slot and later
+// ones reuse it (a batch's items), while a rejection is kept so they
+// fail fast with the same status instead of re-queueing. Cache hits and
+// coalesced waiters never reach it. admit is safe for concurrent use.
+type grant struct {
+	gate   *gate
+	once   sync.Once
+	free   func() // non-nil while a slot is held
+	status int    // non-zero: admission failed with this HTTP status
+}
+
+// admit holds a slot for the request, or returns the gate's rejection.
+func (g *grant) admit(ctx context.Context) error {
+	g.once.Do(func() { g.free, g.status = g.gate.acquire(ctx) })
+	if g.status != 0 {
+		return &apiError{Status: g.status, Message: "server saturated, retry later"}
+	}
+	return nil
+}
+
+// release ends the grant, freeing its slot if it holds one. Call it on
+// the request's goroutine once the request will evaluate no more;
+// calling it again is a no-op.
+func (g *grant) release() {
+	if g.free != nil {
+		g.free()
+		g.free = nil
 	}
 }
 

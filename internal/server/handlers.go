@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 
 	"github.com/calcm/heterosim/internal/bounds"
-	"github.com/calcm/heterosim/internal/core"
 	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/model"
 	"github.com/calcm/heterosim/internal/paper"
@@ -16,9 +15,9 @@ import (
 // registry is the model-serving surface: every POST /v1 endpoint is one
 // engine.Op built from a request type, a validation/canonicalization
 // step, and a ctx-aware evaluation closure (see the op_*.go files). The
-// serving pipeline — strict decode, canonical cache key, coalescing,
+// serving lifecycle — strict decode, canonical cache key, coalescing,
 // admission, deadlines, telemetry, error mapping — is written once in
-// model(); adding an endpoint is one entry here plus its op file.
+// lifecycle.go; adding an endpoint is one entry here plus its op file.
 var registry = engine.NewRegistry(
 	opOptimize,
 	opSweep,
@@ -29,16 +28,15 @@ var registry = engine.NewRegistry(
 	opCompare,
 )
 
-// extraEndpoints are the hand-rolled routes counted beside the
-// registry ops in /metrics, in their fixed counter order: the GET
-// surface plus the batch fan-out (POST, but not a registry op — one
-// batch carries many per-item cache keys, so it cannot ride the
-// one-key pipeline).
+// extraEndpoints are the routes counted beside the registry ops in
+// /metrics, in their fixed counter order: the GET surface plus the two
+// POST routes that are not registry ops — the batch fan-out, whose one
+// request carries many per-item cache keys, and the frontier stream.
 var extraEndpoints = [...]string{"healthz", "metrics", "version", "models", "batch", "frontier"}
 
-// Counter indices of the hand-rolled endpoints: they follow the
-// registry ops. frontier is a stream-only op (no buffered form, so not
-// a registry entry) routed through the generic stream pipeline.
+// Counter indices of the extra endpoints: they follow the registry
+// ops. frontier is a stream-only op (no buffered form, so not a
+// registry entry).
 var (
 	idxHealthz  = len(registry.Names())
 	idxMetrics  = idxHealthz + 1
@@ -56,24 +54,6 @@ var registryOps = func() map[string]engine.Op {
 	}
 	return m
 }()
-
-// defaultEvaluator is the shared paper-default evaluator: Evaluator is
-// an immutable value, so every request using the default (or explicit
-// paper) alpha reuses this one instead of revalidating the law.
-var defaultEvaluator = core.NewEvaluator()
-
-// evaluatorFor builds the core evaluator, honoring an alpha override
-// (0 means the paper default of 1.75).
-func evaluatorFor(alpha float64) (core.Evaluator, error) {
-	if alpha == 0 || alpha == pollack.DefaultAlpha {
-		return defaultEvaluator, nil
-	}
-	law, err := pollack.New(alpha)
-	if err != nil {
-		return core.Evaluator{}, badRequest("%v", err)
-	}
-	return core.Evaluator{Law: law, MaxR: defaultEvaluator.MaxR}, nil
-}
 
 // nodeBudgets resolves a request's (workload, node-name) pair to its
 // default-configuration budgets via the precomputed project tables,
@@ -101,45 +81,44 @@ func workersOr(reqWorkers *int, env engine.Env) int {
 
 // resolveModel canonicalizes a request's (model, modelParams) pair in
 // place, reports the resolved backend to the serving layer, and
-// constructs it. The default backend returns a nil Model: the legacy
-// Chung evaluator answers those requests, so default responses stay
-// byte-identical to the pre-backend contract. Canonicalization also
-// clears every spelling of the default ("", "chung", "CHUNG") back to
-// the omitted form and re-marshals other backends' params with their
-// defaults filled, so equivalent requests share one cache entry.
-// alpha <= 0 means the paper default; maxR is always the serving
-// default sweep bound.
+// constructs it. Canonicalization clears every spelling of the default
+// ("", "chung", "CHUNG") back to the omitted form, so default responses
+// stay byte-identical to the pre-backend contract, and re-marshals other
+// backends' params with their defaults filled, so equivalent requests
+// share one cache entry. alpha 0 means the paper default; maxR is always
+// the paper's sweep bound.
 func resolveModel(name *string, params *json.RawMessage, alpha float64, env engine.Env) (model.Model, error) {
+	if alpha < 0 {
+		// model.New reads any alpha <= 0 as the default; the API
+		// rejects a negative one with the Pollack law's own message.
+		_, err := pollack.New(alpha)
+		return nil, badRequest("%v", err)
+	}
 	canon, err := model.Canonical(*name)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
 	env.ReportModel(canon)
-	m, cp, err := model.New(canon, alpha, defaultEvaluator.MaxR, *params)
+	m, cp, err := model.New(canon, alpha, 0, *params)
 	if err != nil {
 		return nil, badRequest("model %s: %v", canon, err)
 	}
 	if canon == model.DefaultName {
-		*name, *params = "", nil
-		return nil, nil
+		canon = ""
 	}
 	*name, *params = canon, cp
 	return m, nil
 }
 
 // resolveModelFactory is resolveModel for the projection operations
-// (project, scenario, ablation): construction is deferred behind a
-// model.Factory so configuration transforms applied later — scenario
-// 6's alpha override, the ablation's MaxR pinning — reach the backend.
-// The pair is still validated and canonicalized here, at request
-// decode time; a nil factory keeps the projection's analytic Chung
-// path.
+// (project, scenario, ablation, compare, frontier): construction is
+// deferred behind a model.Factory so configuration transforms applied
+// later — scenario 6's alpha override, the ablation's MaxR pinning —
+// reach the backend. The pair is still validated and canonicalized
+// here, at request decode time.
 func resolveModelFactory(name *string, params *json.RawMessage, env engine.Env) (model.Factory, error) {
 	if _, err := resolveModel(name, params, 0, env); err != nil {
 		return nil, err
-	}
-	if *name == "" {
-		return nil, nil
 	}
 	return model.NewFactory(*name, *params), nil
 }

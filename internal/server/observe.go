@@ -101,16 +101,13 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// timeEndpoint starts the per-endpoint latency clock; the returned stop
-// records into the request-duration family under the endpoint's name
-// (i indexes Server.names). Call it where the endpoint's request
-// counter increments, so histogram counts and the JSON counters always
-// agree.
-func (s *Server) timeEndpoint(i int) func() {
-	start := time.Now()
-	return func() {
-		s.reqHist.Observe(s.names[i], time.Since(start))
-	}
+// timeEndpoint records one request's latency, measured from start,
+// into the request-duration family under the endpoint's name (i indexes
+// Server.names). Defer it where the endpoint's request counter
+// increments, so histogram counts and the JSON counters always agree;
+// deferring a plain call keeps the clock allocation-free.
+func (s *Server) timeEndpoint(i int, start time.Time) {
+	s.reqHist.Observe(s.names[i], time.Since(start))
 }
 
 // wantsPrometheus decides the /metrics rendering: the explicit

@@ -3,10 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/par"
@@ -74,138 +72,70 @@ type BatchResponse struct {
 	Failed int                 `json:"failed"`
 }
 
-// batchAdmission shares one gate slot across every evaluating item of
-// a batch. The first evaluation acquires; the batch handler releases
-// after the fan-out drains. Acquisition failures are remembered so
-// later items fail fast with the same status instead of re-queueing.
-type batchAdmission struct {
-	gate *gate
-
-	mu       sync.Mutex
-	acquired bool
-	release  func()
-	status   int // non-zero: admission failed with this HTTP status
-}
-
-// admit returns 0 once the batch holds its slot, or the gate's
-// rejection status. Safe for concurrent use by the fan-out workers.
-func (a *batchAdmission) admit(ctx context.Context) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.acquired {
-		return 0
-	}
-	if a.status != 0 {
-		return a.status
-	}
-	release, status := a.gate.acquire(ctx)
-	if status != 0 {
-		a.status = status
-		return status
-	}
-	a.acquired = true
-	a.release = release
-	return 0
-}
-
-// done releases the batch's slot, if one was acquired.
-func (a *batchAdmission) done() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.acquired {
-		a.release()
-		a.acquired = false
-	}
-}
-
-// handleBatch serves POST /v1/batch.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.requests[idxBatch].Add(1)
-	defer s.timeEndpoint(idxBatch)()
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, &apiError{Status: http.StatusMethodNotAllowed, Message: "use POST"})
-		return
-	}
-	decode := telemetry.StartSpan(r.Context(), stageDecode)
-	body, err := readBody(r)
-	if err != nil {
-		decode.End()
-		s.writeError(w, err)
-		return
-	}
-	var req BatchRequest
-	if err := engine.DecodeStrict(body, &req); err != nil {
-		decode.End()
-		s.writeError(w, err)
-		return
-	}
-	if len(req.Items) == 0 {
-		decode.End()
-		s.writeError(w, badRequest("batch needs at least one item"))
-		return
-	}
-	if len(req.Items) > maxBatchItems {
-		decode.End()
-		s.writeError(w, badRequest("batch has %d items, limit %d: split the request", len(req.Items), maxBatchItems))
-		return
-	}
-
-	// Prepare every item up front — decode once, before any evaluation —
-	// so validation failures are itemized without costing a gate slot.
-	type prepared struct {
-		key  string
-		eval func(context.Context) ([]byte, error)
-	}
-	items := make([]BatchItemResponse, len(req.Items))
-	preps := make([]prepared, len(req.Items))
-	for i, it := range req.Items {
-		items[i].Op = it.Op
-		op, ok := registryOps[it.Op]
-		if !ok {
-			items[i].Status = http.StatusBadRequest
-			items[i].Error = "unknown op " + strconv.Quote(it.Op)
-			continue
+// batch is the writer for /v1/batch: it decodes the envelope and
+// prepares every item up front — decode once, before any evaluation —
+// so validation failures are itemized without costing a gate slot. ops
+// resolves an item's op field.
+func batch(ops map[string]engine.Op) prepareFunc {
+	return func(body []byte, env engine.Env) (respondFunc, error) {
+		var req BatchRequest
+		if err := engine.DecodeStrict(body, &req); err != nil {
+			return nil, err
 		}
-		meta := engine.Meta{}
-		key, eval, err := op.Prepare(it.Request, engine.Env{Workers: s.cfg.Workers, Meta: &meta})
-		items[i].Model = meta.Model
-		if err != nil {
-			items[i].Status, items[i].Error = itemError(err)
-			continue
+		if len(req.Items) == 0 {
+			return nil, badRequest("batch needs at least one item")
 		}
-		preps[i] = prepared{key: key, eval: eval}
+		if len(req.Items) > maxBatchItems {
+			return nil, badRequest("batch has %d items, limit %d: split the request", len(req.Items), maxBatchItems)
+		}
+		items := make([]BatchItemResponse, len(req.Items))
+		preps := make([]batchPrep, len(req.Items))
+		for i, it := range req.Items {
+			items[i].Op = it.Op
+			op, ok := ops[it.Op]
+			if !ok {
+				items[i].Status = http.StatusBadRequest
+				items[i].Error = "unknown op " + strconv.Quote(it.Op)
+				continue
+			}
+			meta := engine.Meta{}
+			key, eval, err := op.Prepare(it.Request, engine.Env{Workers: env.Workers, Meta: &meta})
+			items[i].Model = meta.Model
+			if err != nil {
+				items[i].fail(err)
+				continue
+			}
+			preps[i] = batchPrep{key: key, eval: eval}
+		}
+		return func(x *exchange) error {
+			x.s.handleBatch(x, items, preps)
+			return nil
+		}, nil
 	}
-	decode.End()
+}
 
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		// One deadline bounds the whole batch, mirroring one request.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	adm := &batchAdmission{gate: s.gate}
-	defer adm.done()
-	// Fan out through the bounded pool. Errors never propagate to
-	// ForEach — each item keeps its own — so one failing item cannot
-	// cancel its siblings.
-	par.ForEach(ctx, len(req.Items), s.cfg.Workers, func(ctx context.Context, i int) error {
+// batchPrep is one prepared item: its cache key and evaluation, or a
+// nil eval when the item already failed validation.
+type batchPrep struct {
+	key  string
+	eval func(context.Context) ([]byte, error)
+}
+
+// handleBatch evaluates the prepared items as buffered lookups sharing
+// the exchange's one admission grant, fanned out through the bounded
+// pool, and writes the envelope. Errors never propagate to ForEach —
+// each item keeps its own — so one failing item cannot cancel its
+// siblings. The fan-out closure lives in a method of this name because
+// perfbench's CPU-profile attribution (perfbench/profile.go) recognizes
+// batch workers by it.
+func (s *Server) handleBatch(x *exchange, items []BatchItemResponse, preps []batchPrep) {
+	par.ForEach(x.ctx, len(items), s.cfg.Workers, func(ctx context.Context, i int) error {
 		if preps[i].eval == nil {
 			return nil // already itemized as an error
 		}
-		resp, outcome, err := s.lookup(r, ctx, preps[i].key, func(ctx context.Context) ([]byte, error) {
-			if status := adm.admit(ctx); status != 0 {
-				return nil, &apiError{Status: status, Message: "server saturated, retry later"}
-			}
-			if s.onEvaluate != nil {
-				s.onEvaluate(items[i].Op)
-			}
-			defer telemetry.StartSpan(ctx, stageEvaluate).End()
-			return preps[i].eval(ctx)
-		})
+		resp, outcome, err := x.lookup(items[i].Op, preps[i].key, preps[i].eval)
 		if err != nil {
-			items[i].Status, items[i].Error = itemError(err)
+			items[i].fail(err)
 			return nil
 		}
 		items[i].Status = http.StatusOK
@@ -213,7 +143,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		items[i].Response = resp
 		return nil
 	})
-
 	out := BatchResponse{Items: items}
 	for i := range items {
 		if items[i].Status == http.StatusOK {
@@ -222,26 +151,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out.Failed++
 		}
 	}
-	encode := telemetry.StartSpan(ctx, stageEncode)
-	w.Header().Set("Content-Type", "application/json")
+	encode := telemetry.StartSpan(x.ctx, stageEncode)
+	x.w.Header().Set("Content-Type", "application/json")
 	s.responses.ok.Add(1)
-	json.NewEncoder(w).Encode(out)
+	json.NewEncoder(x.w).Encode(out)
 	encode.End()
 }
 
-// itemError maps one item's failure to its (status, message) pair
-// using the same classification writeError applies to standalone
-// requests.
-func itemError(err error) (int, string) {
-	var ae *apiError
-	switch {
-	case errors.As(err, &ae):
-		return ae.Status, ae.Message
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "request deadline exceeded"
-	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable, "request cancelled"
-	default:
-		return http.StatusInternalServerError, err.Error()
-	}
+// fail records an item's failure exactly as the standalone endpoint
+// would have answered it.
+func (it *BatchItemResponse) fail(err error) {
+	ae := classify(err)
+	it.Status, it.Error = ae.Status, ae.Message
 }

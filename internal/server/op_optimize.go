@@ -8,7 +8,6 @@ import (
 	"github.com/calcm/heterosim/internal/bounds"
 	"github.com/calcm/heterosim/internal/core"
 	"github.com/calcm/heterosim/internal/engine"
-	"github.com/calcm/heterosim/internal/model"
 )
 
 // POST /v1/optimize — one design point.
@@ -60,10 +59,6 @@ func buildOptimize(req *OptimizeRequest, env engine.Env) (func(context.Context) 
 	if err != nil {
 		return nil, err
 	}
-	ev, err := evaluatorFor(req.Alpha)
-	if err != nil {
-		return nil, err
-	}
 	mdl, err := resolveModel(&req.Model, &req.ModelParams, req.Alpha, env)
 	if err != nil {
 		return nil, err
@@ -88,13 +83,9 @@ func buildOptimize(req *OptimizeRequest, env engine.Env) (func(context.Context) 
 		}
 	}
 	return func(context.Context) (OptimizeResponse, error) {
-		var o model.Optimizer = ev
-		if mdl != nil {
-			o = mdl
-		}
-		opt := o.Optimize
+		opt := mdl.Optimize
 		if req.Objective == "energy" {
-			opt = o.OptimizeEnergy
+			opt = mdl.OptimizeEnergy
 		}
 		pt, err := opt(d, req.F, b)
 		if err != nil {

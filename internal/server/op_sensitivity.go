@@ -76,21 +76,11 @@ func buildSensitivity(req *SensitivityRequest, env engine.Env) (func(context.Con
 	if err != nil {
 		return nil, err
 	}
-	ev, err := evaluatorFor(req.Alpha)
+	// Elasticities and Monte Carlo intervals perturb the selected
+	// backend through the sensitivity Optimizer interface.
+	opt, err := resolveModel(&req.Model, &req.ModelParams, req.Alpha, env)
 	if err != nil {
 		return nil, err
-	}
-	mdl, err := resolveModel(&req.Model, &req.ModelParams, req.Alpha, env)
-	if err != nil {
-		return nil, err
-	}
-	// The sensitivity machinery optimizes through its Optimizer
-	// interface, so a non-default backend substitutes for the evaluator
-	// wholesale: elasticities and Monte Carlo intervals perturb the
-	// selected model, not the Chung baseline.
-	var opt sensitivity.Optimizer = ev
-	if mdl != nil {
-		opt = mdl
 	}
 	// Defaults are materialized into the request before keying so every
 	// spelling of "the defaults" shares one cache entry. The comparisons

@@ -10,7 +10,6 @@ import (
 	"github.com/calcm/heterosim/internal/bounds"
 	"github.com/calcm/heterosim/internal/core"
 	"github.com/calcm/heterosim/internal/engine"
-	"github.com/calcm/heterosim/internal/model"
 	"github.com/calcm/heterosim/internal/sweep"
 )
 
@@ -331,10 +330,6 @@ func planSweep(req *SweepRequest, env engine.Env, maxCells int) (*sweepPlan, err
 	if err != nil {
 		return nil, err
 	}
-	ev, err := evaluatorFor(req.Alpha)
-	if err != nil {
-		return nil, err
-	}
 	mdl, err := resolveModel(&req.Model, &req.ModelParams, req.Alpha, env)
 	if err != nil {
 		return nil, err
@@ -381,13 +376,9 @@ func planSweep(req *SweepRequest, env engine.Env, maxCells int) (*sweepPlan, err
 	}
 	workers := workersOr(&req.Workers, env)
 
-	var o model.Optimizer = ev
-	if mdl != nil {
-		o = mdl
-	}
-	opt := o.Optimize
+	opt := mdl.Optimize
 	if req.Objective == "energy" {
-		opt = o.OptimizeEnergy
+		opt = mdl.OptimizeEnergy
 	}
 	return &sweepPlan{
 		req:     req,

@@ -21,8 +21,8 @@ import (
 // to the buffered Points array for the same request
 // (TestSweepStreamMatchesBuffered pins this across all model
 // backends). The HTTP plumbing — gate, deadline, spans, in-band errors
-// — lives in the generic stream pipeline (stream.go); this file is
-// only the sweep-shaped frames.
+// — lives in the request lifecycle and its stream writer (lifecycle.go,
+// stream.go); this file is only the sweep-shaped frames.
 
 const (
 	// maxStreamSweepCells bounds one streamed sweep. The stream holds

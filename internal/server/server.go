@@ -10,6 +10,16 @@
 // encoding of the request, identical concurrent requests coalesce onto
 // one evaluation, and every response is byte-identical at any worker
 // count (the engine's determinism guarantee carries through the wire).
+//
+// Every POST route runs one request lifecycle (lifecycle.go): count and
+// time the request, pick its form from the stream parameter, check the
+// method, read and prepare the body in the decode span, bound it by the
+// request deadline, admit model work through the gate, and map every
+// error through one classifier. Routes differ only in their writer:
+// buffered bytes for a registry op, an envelope of N buffered lookups
+// sharing one admission grant for a batch, or an NDJSON emitter for a
+// stream. Every model request runs on a model backend; the paper's own
+// (chung) is simply the default one.
 package server
 
 import (
@@ -17,14 +27,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"sync/atomic"
 	"time"
 
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/model"
 	"github.com/calcm/heterosim/internal/par"
 	"github.com/calcm/heterosim/internal/servecache"
@@ -209,23 +217,19 @@ func New(cfg Config) (*Server, error) {
 	if err := s.initCluster(); err != nil {
 		return nil, err
 	}
-	ops := registry.Ops()
 	s.names = append(append(s.names, registry.Names()...), extraEndpoints[:]...)
 	s.requests = make([]atomic.Int64, len(s.names))
-	for i, op := range ops {
-		h := s.model(i, op)
-		// An op with a streaming form shares its route and counter with
-		// it, dispatched on `?stream=`; the rest reject the parameter
-		// outright so it can never be silently ignored.
+	// An op with a streaming form shares its route and counter with it,
+	// dispatched on `?stream=`.
+	for i, op := range registry.Ops() {
+		var stream prepareFunc
 		if sop, ok := streamRegistry[op.Name()]; ok {
-			h = s.streamRoute(i, sop, h)
-		} else {
-			h = s.rejectStreamParam(i, op.Name(), h)
+			stream = streamed(sop)
 		}
-		s.mux.HandleFunc(op.Path(), h)
+		s.mux.HandleFunc(op.Path(), s.post(i, op.Name(), buffered(op), stream))
 	}
-	s.mux.HandleFunc(streamFrontier.Path(), s.streamRoute(idxFrontier, streamFrontier, nil))
-	s.mux.HandleFunc("/v1/batch", s.handleBatch)
+	s.mux.HandleFunc(streamFrontier.Path(), s.post(idxFrontier, streamFrontier.Name(), nil, streamed(streamFrontier)))
+	s.mux.HandleFunc("/v1/batch", s.post(idxBatch, "batch", batch(registryOps), nil))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/v1/version", s.handleVersion)
@@ -284,119 +288,10 @@ func (s *Server) ListenAndServe(ctx context.Context, ready chan<- net.Addr) erro
 	return s.Serve(ctx, ln)
 }
 
-// model wraps a registry op with the serving pipeline — written once
-// for every POST endpoint: method and body checks, strict decode +
-// validation + canonical cache key (op.Prepare), coalescing lookup,
-// admission gate (misses only — cached work is free and must stay
-// admissible under overload), per-request deadline enforcement, stale
-// fallback, and error-to-status mapping. i indexes the op's counter.
-func (s *Server) model(i int, op engine.Op) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.requests[i].Add(1)
-		defer s.timeEndpoint(i)()
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			s.writeError(w, &apiError{Status: http.StatusMethodNotAllowed, Message: "use POST"})
-			return
-		}
-		decode := telemetry.StartSpan(r.Context(), stageDecode)
-		body, err := readBody(r)
-		if err != nil {
-			decode.End()
-			s.writeError(w, err)
-			return
-		}
-		// Env.Meta is per-request: Prepare reports the resolved model
-		// backend through it, which the response header and the access
-		// log carry (it never reaches cache keys or response bodies).
-		meta := engine.Meta{}
-		env := engine.Env{Workers: s.cfg.Workers, Meta: &meta}
-		key, eval, err := op.Prepare(body, env)
-		decode.End()
-		if meta.Model != "" {
-			w.Header().Set(headerModel, meta.Model)
-		}
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		ctx := r.Context()
-		if s.cfg.RequestTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-			defer cancel()
-		}
-		resp, outcome, err := s.lookup(r, ctx, key, func(ctx context.Context) ([]byte, error) {
-			release, status := s.gate.acquire(ctx)
-			if status != 0 {
-				return nil, &apiError{Status: status, Message: "server saturated, retry later"}
-			}
-			defer release()
-			if s.onEvaluate != nil {
-				s.onEvaluate(op.Name())
-			}
-			defer telemetry.StartSpan(ctx, stageEvaluate).End()
-			return eval(ctx)
-		})
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		encode := telemetry.StartSpan(ctx, stageEncode)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Heterosim-Cache", outcome.String())
-		s.responses.ok.Add(1)
-		w.Write(resp)
-		encode.End()
-	}
-}
-
-// maxBodyBytes bounds request bodies; the largest legitimate request (a
-// dense sweep spec) is well under a kilobyte.
-const maxBodyBytes = 1 << 20
-
-// readBody slurps and bounds the request body.
-func readBody(r *http.Request) ([]byte, error) {
-	defer r.Body.Close()
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	if err != nil {
-		return nil, badRequest("reading body: %v", err)
-	}
-	return body, nil
-}
-
-// writeError maps an error to a JSON error response; apiError carries
-// its own status, an expired request deadline is 504, a disconnected
-// client 503 (moot — nobody reads it), anything else a 500.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	var ae *apiError
-	if !errors.As(err, &ae) {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			ae = &apiError{Status: http.StatusGatewayTimeout, Message: "request deadline exceeded"}
-		case errors.Is(err, context.Canceled):
-			ae = &apiError{Status: http.StatusServiceUnavailable, Message: "request cancelled"}
-		default:
-			ae = &apiError{Status: http.StatusInternalServerError, Message: err.Error()}
-		}
-	}
-	if ae.Status >= 500 {
-		s.responses.serverErr.Add(1)
-	} else {
-		s.responses.clientErr.Add(1)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if ae.Status == http.StatusServiceUnavailable || ae.Status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.WriteHeader(ae.Status)
-	json.NewEncoder(w).Encode(ae)
-}
-
 // handleHealthz reports liveness.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.requests[idxHealthz].Add(1)
-	defer s.timeEndpoint(idxHealthz)()
+	defer s.timeEndpoint(idxHealthz, time.Now())
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintln(w, `{"status":"ok"}`)
 }
@@ -405,7 +300,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // backends this build can serve.
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	s.requests[idxVersion].Add(1)
-	defer s.timeEndpoint(idxVersion)()
+	defer s.timeEndpoint(idxVersion, time.Now())
 	w.Header().Set("Content-Type", "application/json")
 	info := version.Get()
 	info.Models = model.Names()
@@ -417,7 +312,7 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 // that omit the model field.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	s.requests[idxModels].Add(1)
-	defer s.timeEndpoint(idxModels)()
+	defer s.timeEndpoint(idxModels, time.Now())
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(ModelsResponse{Default: model.DefaultName, Models: model.Infos()})
 }
@@ -468,7 +363,7 @@ func (s *Server) Snapshot() Metrics {
 // ?format=prometheus or an Accept header (see wantsPrometheus).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.requests[idxMetrics].Add(1)
-	defer s.timeEndpoint(idxMetrics)()
+	defer s.timeEndpoint(idxMetrics, time.Now())
 	if wantsPrometheus(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := s.writePrometheus(w); err != nil {
