@@ -1,10 +1,9 @@
-// Command heterosim-loadgen is the load-generation and scenario-matrix
-// harness for the serving stack. It drives declarative traffic
-// scenarios — endpoint mix, open-loop Poisson or closed-loop arrivals, a
-// target cache-hit ratio, fault and deadline distributions — through
-// internal/client against either a live daemon or an in-process one,
-// with every request stream a deterministic function of the scenario
-// seed.
+// Command heterosim-loadgen is the load-generation harness for the
+// serving stack. It drives declarative traffic scenarios — endpoint
+// mix, open-loop Poisson or closed-loop arrivals, a target cache-hit
+// ratio, fault and deadline distributions — through internal/client
+// against either a live daemon or an in-process one, with every request
+// stream a deterministic function of the scenario seed.
 //
 // Usage:
 //
@@ -12,25 +11,23 @@
 //	heterosim-loadgen run [-name SCENARIO | -config FILE]
 //	                      [-addr URL] [-csv FILE] [-summary FILE]
 //	                      [-seed N] [-requests N] [-duration D]
-//	                      [-deterministic] [server flags]
-//	heterosim-loadgen matrix [-out FILE] [-csv-dir DIR]
-//	heterosim-loadgen check -summary FILE | -bench FILE
+//	                      [-deterministic]
+//	heterosim-loadgen check -summary FILE
 //
-// run without -addr boots a fresh in-process daemon (configured by the
-// server flags) on an ephemeral port, so a scenario is reproducible
-// without any standing infrastructure; with -addr it aims the same
-// traffic at a live daemon. -deterministic swaps the wall clock for the
-// logical clock: with a sequential scenario (closed loop, concurrency
-// 1) the per-request CSV is then byte-identical across invocations,
-// which is what the CI smoke diffs.
+// run without -addr boots a fresh in-process daemon with the production
+// defaults on an ephemeral port, so a scenario is reproducible without
+// any standing infrastructure; with -addr it aims the same traffic at a
+// live daemon. -deterministic swaps the wall clock for the logical
+// clock: with a sequential scenario (closed loop, concurrency 1) the
+// per-request CSV is then byte-identical across invocations, which is
+// what the CI smoke diffs.
 //
-// matrix runs the BENCH_8 measurement matrix — every shipped
-// measurement scenario against the baseline and constrained server
-// configurations — and writes the BENCH_8.json document.
+// check re-parses a summary strictly against the schema and holds it
+// to the harness invariants: traffic moved, every request accounted
+// for, no unexpected failures. CI gates on it.
 //
-// check re-parses a summary (or bench document) strictly against the
-// schema and holds it to the harness invariants: traffic moved, every
-// request accounted for, no unexpected failures. CI gates on it.
+// Throughput and latency numbers for the serving stack come from the
+// perfbench benchmark (perfbench/README.md), not from this harness.
 package main
 
 import (
@@ -47,6 +44,7 @@ import (
 	"github.com/calcm/heterosim/internal/baseurl"
 	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/loadgen"
+	"github.com/calcm/heterosim/internal/server"
 )
 
 func main() {
@@ -69,8 +67,6 @@ func run(args []string, out io.Writer) error {
 		return cmdScenarios(rest, out)
 	case "run":
 		return cmdRun(rest, out)
-	case "matrix":
-		return cmdMatrix(rest, out)
 	case "check":
 		return cmdCheck(rest, out)
 	case "help", "-h", "--help":
@@ -83,13 +79,12 @@ func run(args []string, out io.Writer) error {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `heterosim-loadgen — load-generation and scenario-matrix harness
+	fmt.Fprint(os.Stderr, `heterosim-loadgen — load-generation harness
 
 Subcommands:
   scenarios  list the shipped traffic scenarios
   run        run one scenario against a live or in-process daemon
-  matrix     run the BENCH_8 scenario x server-config matrix
-  check      validate a summary (or bench document) against schema and invariants
+  check      validate a run summary against schema and invariants
 
 run flags:
   -name          shipped scenario to run (see scenarios)
@@ -104,17 +99,8 @@ run flags:
   -duration      override the scenario duration bound
   -deterministic drive the run on the logical clock (virtual time)
 
-run server flags (in-process daemon only):
-  -server-name -workers -cache-entries -max-inflight -max-queue
-  -queue-timeout -request-timeout
-
-matrix flags:
-  -out       write the BENCH_8 document here (default BENCH_8.json)
-  -csv-dir   write one per-request CSV per cell into this directory
-
 check flags:
   -summary   summary JSON file to validate
-  -bench     BENCH_8-style document to validate (every result checked)
 `)
 }
 
@@ -150,29 +136,6 @@ func cmdScenarios(args []string, out io.Writer) error {
 			sc.Name, sc.Arrival.Process, sc.Requests, load, sc.HitRatio, faults, len(sc.Mix))
 	}
 	return nil
-}
-
-// serverFlags registers the in-process daemon knobs and returns a
-// loader that assembles the ServerConfig after parsing.
-func serverFlags(fs *flag.FlagSet) func() loadgen.ServerConfig {
-	name := fs.String("server-name", "baseline", "server configuration label")
-	workers := fs.Int("workers", 0, "evaluation worker pool (0 = server default)")
-	cacheEntries := fs.Int("cache-entries", 0, "result cache budget (0 = server default)")
-	maxInflight := fs.Int("max-inflight", 0, "concurrent evaluations admitted (0 = server default)")
-	maxQueue := fs.Int("max-queue", 0, "queued requests before 429 (0 = server default)")
-	queueTimeout := fs.Duration("queue-timeout", 0, "queued-request wait before 503 (0 = server default)")
-	requestTimeout := fs.Duration("request-timeout", 0, "per-request deadline before 504 (0 = server default)")
-	return func() loadgen.ServerConfig {
-		return loadgen.ServerConfig{
-			Name:           *name,
-			Workers:        *workers,
-			CacheEntries:   *cacheEntries,
-			MaxInflight:    *maxInflight,
-			MaxQueue:       *maxQueue,
-			QueueTimeout:   loadgen.Duration(*queueTimeout),
-			RequestTimeout: loadgen.Duration(*requestTimeout),
-		}
-	}
 }
 
 // loadScenario resolves -name/-config plus the override flags.
@@ -233,7 +196,6 @@ func cmdRun(args []string, out io.Writer) error {
 	requests := fs.Int("requests", 0, "override the scenario request budget")
 	duration := fs.Duration("duration", 0, "override the scenario duration bound")
 	deterministic := fs.Bool("deterministic", false, "drive the run on the logical clock")
-	server := serverFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -255,7 +217,6 @@ func cmdRun(args []string, out io.Writer) error {
 		cfg.Recorders = append(cfg.Recorders, loadgen.NewCSVRecorder(w))
 	}
 
-	srvCfg := server()
 	if *addr != "" {
 		// One shared normalizer (internal/baseurl) handles bare
 		// host:port, trailing slashes, and comma-separated cluster
@@ -271,13 +232,13 @@ func cmdRun(args []string, out io.Writer) error {
 		}
 		cfg.ServerName = "live"
 	} else {
-		baseURL, stop, err := loadgen.StartInProcess(sc, srvCfg)
+		baseURL, stop, err := loadgen.StartInProcess(sc, server.Config{})
 		if err != nil {
 			return err
 		}
 		defer stop()
 		cfg.BaseURL = baseURL
-		cfg.ServerName = srvCfg.Name
+		cfg.ServerName = "baseline"
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -304,80 +265,28 @@ func cmdRun(args []string, out io.Writer) error {
 	return nil
 }
 
-func cmdMatrix(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("matrix", flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
-	outPath := fs.String("out", "BENCH_8.json", "BENCH_8 document destination")
-	csvDir := fs.String("csv-dir", "", "per-cell CSV directory (empty = no CSVs)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	m := loadgen.DefaultMatrix()
-	sums, err := loadgen.RunMatrix(ctx, m, loadgen.MatrixOptions{
-		CSVDir:   *csvDir,
-		Progress: out,
-	})
-	if err != nil {
-		return err
-	}
-	doc := loadgen.NewBenchDoc(m, sums)
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s (%d cells)\n", *outPath, len(sums))
-	return nil
-}
-
 func cmdCheck(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("check", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	summaryPath := fs.String("summary", "", "summary JSON file to validate")
-	benchPath := fs.String("bench", "", "BENCH_8-style document to validate")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch {
-	case *summaryPath != "":
-		data, err := os.ReadFile(*summaryPath)
-		if err != nil {
-			return err
-		}
-		var sum loadgen.Summary
-		if err := engine.DecodeStrict(data, &sum); err != nil {
-			return fmt.Errorf("%s: schema: %w", *summaryPath, err)
-		}
-		if err := sum.Check(); err != nil {
-			return fmt.Errorf("%s: %w", *summaryPath, err)
-		}
-		fmt.Fprintf(out, "%s: ok (%s x %s, %d requests, %.1f rps)\n",
-			*summaryPath, sum.Scenario, sum.Server, sum.Requests, sum.ThroughputRPS)
-		return nil
-	case *benchPath != "":
-		data, err := os.ReadFile(*benchPath)
-		if err != nil {
-			return err
-		}
-		var doc loadgen.BenchDoc
-		if err := engine.DecodeStrict(data, &doc); err != nil {
-			return fmt.Errorf("%s: schema: %w", *benchPath, err)
-		}
-		if len(doc.Results) == 0 {
-			return fmt.Errorf("%s: no results", *benchPath)
-		}
-		for _, sum := range doc.Results {
-			if err := sum.Check(); err != nil {
-				return fmt.Errorf("%s: cell (%s, %s): %w", *benchPath, sum.Scenario, sum.Server, err)
-			}
-		}
-		fmt.Fprintf(out, "%s: ok (%d cells)\n", *benchPath, len(doc.Results))
-		return nil
-	default:
-		return fmt.Errorf("check needs -summary or -bench")
+	if *summaryPath == "" {
+		return fmt.Errorf("check needs -summary")
 	}
+	data, err := os.ReadFile(*summaryPath)
+	if err != nil {
+		return err
+	}
+	var sum loadgen.Summary
+	if err := engine.DecodeStrict(data, &sum); err != nil {
+		return fmt.Errorf("%s: schema: %w", *summaryPath, err)
+	}
+	if err := sum.Check(); err != nil {
+		return fmt.Errorf("%s: %w", *summaryPath, err)
+	}
+	fmt.Fprintf(out, "%s: ok (%s x %s, %d requests, %.1f rps)\n",
+		*summaryPath, sum.Scenario, sum.Server, sum.Requests, sum.ThroughputRPS)
+	return nil
 }

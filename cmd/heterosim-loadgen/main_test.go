@@ -123,7 +123,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"unknown name", []string{"run", "-name", "nope"}, "unknown scenario"},
 		{"bad config", []string{"run", "-config", bad}, "arrival process"},
 		{"unknown subcommand", []string{"flood"}, "unknown subcommand"},
-		{"check without input", []string{"check"}, "-summary or -bench"},
+		{"check without input", []string{"check"}, "check needs -summary"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -182,14 +182,13 @@ func TestCheckCatchesDriftAndFailure(t *testing.T) {
 		t.Errorf("schema drift not caught: %v", err)
 	}
 
-	// Bench documents: every cell is held to the invariants.
-	doc := loadgen.NewBenchDoc(loadgen.DefaultMatrix(), []loadgen.Summary{good, broken})
-	if err := run([]string{"check", "-bench", write("bench.json", doc)}, &out); err == nil ||
-		!strings.Contains(err.Error(), "transport errors") {
-		t.Errorf("bad bench cell not caught: %v", err)
+	// The retired bench-document path is gone, not silently ignored.
+	if err := run([]string{"check", "-bench", write("bench.json", good)}, &out); err == nil ||
+		!strings.Contains(err.Error(), "not defined: -bench") {
+		t.Errorf("check -bench accepted: %v", err)
 	}
-	okDoc := loadgen.NewBenchDoc(loadgen.DefaultMatrix(), []loadgen.Summary{good})
-	if err := run([]string{"check", "-bench", write("okbench.json", okDoc)}, &out); err != nil {
-		t.Errorf("clean bench rejected: %v", err)
+	if err := run([]string{"matrix"}, &out); err == nil ||
+		!strings.Contains(err.Error(), "unknown subcommand") {
+		t.Errorf("matrix accepted: %v", err)
 	}
 }

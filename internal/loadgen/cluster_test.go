@@ -70,7 +70,7 @@ func optimizeBodies(n int) []string {
 // bytes, and a cold key is computed exactly once cluster-wide no matter
 // which member was asked.
 func TestClusterByteIdenticalAndSingleCompute(t *testing.T) {
-	urls, _, stop, err := StartCluster(Scenario{}, ServerConfig{}, 3)
+	urls, _, stop, err := StartCluster(Scenario{}, server.Config{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestClusterByteIdenticalAndSingleCompute(t *testing.T) {
 // loss), and the receiving member's metrics must account for the
 // outage as fallbacks, not 5xx.
 func TestClusterPeerDeathMidBatch(t *testing.T) {
-	urls, stopOne, stop, err := StartCluster(Scenario{}, ServerConfig{}, 3)
+	urls, stopOne, stop, err := StartCluster(Scenario{}, server.Config{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestClusterPeerDeathMidBatch(t *testing.T) {
 // streams from another: streams evaluate locally, so the stream must
 // run to its trailer with every row intact.
 func TestClusterPeerDeathMidStream(t *testing.T) {
-	urls, stopOne, stop, err := StartCluster(Scenario{}, ServerConfig{}, 3)
+	urls, stopOne, stop, err := StartCluster(Scenario{}, server.Config{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestClusterPeerDeathMidStream(t *testing.T) {
 // members keeps answering after one dies mid-run — zero lost requests,
 // byte-identical answers from whoever serves them.
 func TestClusterFailoverDrainsToSurvivors(t *testing.T) {
-	urls, stopOne, stop, err := StartCluster(Scenario{}, ServerConfig{}, 3)
+	urls, stopOne, stop, err := StartCluster(Scenario{}, server.Config{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

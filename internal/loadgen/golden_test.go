@@ -58,99 +58,133 @@ func TestCSVSchemaGolden(t *testing.T) {
 	checkGolden(t, "csv_schema.golden", buf.Bytes())
 }
 
-// keyTree flattens a JSON document into its sorted set of key paths.
-// Array elements collapse into "[]" — the golden pins the shape, not the
-// cardinality.
+// keyTree flattens a JSON object into its set of key paths — the
+// golden pins the shape, not the values.
 func keyTree(v any, prefix string, out map[string]bool) {
-	switch x := v.(type) {
-	case map[string]any:
-		for k, child := range x {
-			p := prefix + "." + k
-			out[p] = true
-			keyTree(child, p, out)
-		}
-	case []any:
-		for _, child := range x {
-			keyTree(child, prefix+"[]", out)
-		}
+	x, _ := v.(map[string]any)
+	for k, child := range x {
+		p := prefix + "." + k
+		out[p] = true
+		keyTree(child, p, out)
 	}
 }
 
-// TestBench8KeyTreeGolden pins the BENCH_8.json key tree: the scenario
-// matrix document's shape, including every per-cell summary field. A
-// field renamed or dropped here silently breaks whatever trends those
-// numbers, so the shape is held by a golden.
-func TestBench8KeyTreeGolden(t *testing.T) {
-	m := DefaultMatrix()
+// writeKeyTree appends the sorted key tree of every doc's JSON encoding
+// to b under a header line.
+func writeKeyTree(t *testing.T, b *strings.Builder, header string, docs ...any) {
+	t.Helper()
+	paths := map[string]bool{}
+	for _, doc := range docs {
+		raw, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v any
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Fatal(err)
+		}
+		keyTree(v, "", paths)
+	}
+	sorted := make([]string, 0, len(paths))
+	for p := range paths {
+		sorted = append(sorted, p)
+	}
+	sort.Strings(sorted)
+	fmt.Fprintln(b, header)
+	for _, p := range sorted {
+		fmt.Fprintln(b, p)
+	}
+}
+
+// TestSummaryKeyTreeGolden pins the harness's public JSON shapes: the
+// Summary that run -summary writes and check -summary strictly decodes,
+// and the Scenario that scenarios -json emits and run -config parses.
+// A field renamed or dropped here silently breaks whatever consumes
+// those documents, so the shapes are held by a golden.
+func TestSummaryKeyTreeGolden(t *testing.T) {
 	// One synthetic summary exercising every optional field, so the
-	// tree is complete without running the (nondeterministic, slow)
-	// measurement matrix.
+	// tree is complete without running a (nondeterministic) load run.
 	sum := Summary{
-		Scenario: m.Scenarios[0].Name, Server: m.Servers[0].Name, Seed: 1,
+		Scenario: "steady-mixed", Server: "baseline", Seed: 1,
 		Requests: 10, OK: 6, Shed: 1, DeadlineMiss: 1, InjectedFaults: 2,
 		DurationMS: 12.5, ThroughputRPS: 800,
 		LatencyP50US: 900, LatencyP99US: 4000, LatencyMaxUS: 5000, LatencySamples: 6,
 		ShedRate: 0.1, DeadlineMissRate: 0.1,
 		Cache: CacheRatios{Hits: 3, Misses: 3, Coalesced: 1, StaleServed: 1, HitRatio: 0.5, CoalesceRatio: 0.14},
 	}
-	doc := NewBenchDoc(m, []Summary{sum})
-	raw, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
+	var scs []any
+	for _, sc := range builtins() {
+		scs = append(scs, sc)
 	}
-	var v any
-	if err := json.Unmarshal(raw, &v); err != nil {
-		t.Fatal(err)
-	}
-	paths := map[string]bool{}
-	keyTree(v, "", paths)
-	var sorted []string
-	for p := range paths {
-		sorted = append(sorted, p)
-	}
-	sort.Strings(sorted)
 	var b strings.Builder
-	fmt.Fprintln(&b, "# BENCH_8.json key tree (shape only; [] collapses array elements)")
-	for _, p := range sorted {
-		fmt.Fprintln(&b, p)
-	}
-	checkGolden(t, "bench8_keys.golden", []byte(b.String()))
+	writeKeyTree(t, &b, "# Summary key tree: run -summary, check -summary (shape only)", sum)
+	writeKeyTree(t, &b, scenarioTreeHeader, scs...)
+	checkGolden(t, "summary_keys.golden", []byte(b.String()))
 }
 
-// TestBench9KeyTreeGolden pins the BENCH_9.json key tree the same way:
-// the cluster-size matrix document's shape, including every per-cell
-// summary field, held by a golden so the 1-node-vs-N-node trend lines
-// never silently lose a column.
-func TestBench9KeyTreeGolden(t *testing.T) {
-	m := DefaultClusterMatrix()
-	sum := Summary{
-		Scenario: m.Scenarios[0].Name, Server: "baseline-x3", Seed: 1,
-		Requests: 10, OK: 6, Shed: 1, DeadlineMiss: 1, InjectedFaults: 2,
-		DurationMS: 12.5, ThroughputRPS: 800,
-		LatencyP50US: 900, LatencyP99US: 4000, LatencyMaxUS: 5000, LatencySamples: 6,
-		ShedRate: 0.1, DeadlineMissRate: 0.1,
-		Cache: CacheRatios{Hits: 3, Misses: 3, Coalesced: 1, StaleServed: 1, HitRatio: 0.5, CoalesceRatio: 0.14},
-	}
-	doc := NewClusterBenchDoc(m, []Summary{sum})
-	raw, err := json.Marshal(doc)
+const scenarioTreeHeader = "# Scenario key tree: each scenarios -json element, a run -config file (shape only)"
+
+// goldenScenarioTree returns the Scenario section of summary_keys.golden.
+func goldenScenarioTree(t *testing.T) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "summary_keys.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v any
-	if err := json.Unmarshal(raw, &v); err != nil {
-		t.Fatal(err)
+	i := strings.Index(string(raw), scenarioTreeHeader)
+	if i < 0 {
+		t.Fatalf("summary_keys.golden has no %q section", scenarioTreeHeader)
 	}
-	paths := map[string]bool{}
-	keyTree(v, "", paths)
-	var sorted []string
-	for p := range paths {
-		sorted = append(sorted, p)
+	return string(raw[i:])
+}
+
+// builtinKeyTree is the Scenario key tree of the named builtins alone,
+// in the golden's format.
+func builtinKeyTree(t *testing.T, names ...string) string {
+	t.Helper()
+	var scs []any
+	for _, name := range names {
+		sc, ok := Builtin(name)
+		if !ok {
+			t.Fatalf("no builtin scenario %q", name)
+		}
+		scs = append(scs, sc)
 	}
-	sort.Strings(sorted)
 	var b strings.Builder
-	fmt.Fprintln(&b, "# BENCH_9.json key tree (shape only; [] collapses array elements)")
-	for _, p := range sorted {
-		fmt.Fprintln(&b, p)
+	writeKeyTree(t, &b, scenarioTreeHeader, scs...)
+	return b.String()
+}
+
+// TestBench8KeyTreeGolden: the three scenarios the retired BENCH_8.json
+// matrix ran (steady-mixed, burst-open, chaos-faults) between them set
+// every Scenario field, so their key tree alone is the whole Scenario
+// section of summary_keys.golden, whose lines were carried over from
+// BENCH_8.json's key tree. scenarios -json thus shows every knob.
+func TestBench8KeyTreeGolden(t *testing.T) {
+	got := builtinKeyTree(t, "steady-mixed", "burst-open", "chaos-faults")
+	if want := goldenScenarioTree(t); got != want {
+		t.Errorf("scenario key tree drifted:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-	checkGolden(t, "bench9_keys.golden", []byte(b.String()))
+}
+
+// TestBench9KeyTreeGolden: the two fault-free scenarios the retired
+// BENCH_9.json cluster matrix ran (steady-mixed, burst-open) leave the
+// fault knobs out of their JSON. Their key tree is the golden's Scenario
+// section without faults, retries and the deadline bounds, as in
+// BENCH_9.json's key tree. The union pinned by TestSummaryKeyTreeGolden
+// cannot see such a field lose its omitempty; this test can.
+func TestBench9KeyTreeGolden(t *testing.T) {
+	omitted := map[string]bool{
+		".faults": true, ".retries": true,
+		".deadline.dist": true, ".deadline.max": true, ".deadline.min": true,
+	}
+	var want strings.Builder
+	for _, line := range strings.SplitAfter(goldenScenarioTree(t), "\n") {
+		if !omitted[strings.TrimSuffix(line, "\n")] {
+			want.WriteString(line)
+		}
+	}
+	if got := builtinKeyTree(t, "steady-mixed", "burst-open"); got != want.String() {
+		t.Errorf("scenario key tree drifted:\n--- got ---\n%s\n--- want ---\n%s", got, want.String())
+	}
 }

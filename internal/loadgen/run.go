@@ -33,8 +33,8 @@ type RunConfig struct {
 	// accumulator is always attached in addition.
 	Recorders []Recorder
 
-	// ServerName labels the Summary with the server configuration the
-	// run targeted (matrix runs set it; single runs may leave it "").
+	// ServerName labels the Summary with the server the run targeted
+	// (may be "").
 	ServerName string
 }
 

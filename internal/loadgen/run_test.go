@@ -5,6 +5,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"github.com/calcm/heterosim/internal/server"
 )
 
 // runSmokeOnce runs one deterministic smoke pass against a fresh
@@ -12,7 +14,7 @@ import (
 // CSV bytes plus the summary.
 func runSmokeOnce(t *testing.T, sc Scenario) ([]byte, Summary) {
 	t.Helper()
-	baseURL, stop, err := StartInProcess(sc, ServerConfig{Name: "baseline"})
+	baseURL, stop, err := StartInProcess(sc, server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestHitRatioShaping(t *testing.T) {
 		Mix:      map[string]float64{"optimize": 1},
 		HitRatio: 0.7, KeySpace: 8,
 	}
-	baseURL, stop, err := StartInProcess(sc, ServerConfig{})
+	baseURL, stop, err := StartInProcess(sc, server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +107,8 @@ func TestOpenLoopShedsUnderPressure(t *testing.T) {
 		HitRatio: 0, KeySpace: 1,
 		Samples: 20_000,
 	}
-	baseURL, stop, err := StartInProcess(sc, ServerConfig{
-		Name: "tiny", MaxInflight: 1, MaxQueue: 1,
-		QueueTimeout: Duration(time.Millisecond),
+	baseURL, stop, err := StartInProcess(sc, server.Config{
+		MaxInflight: 1, MaxQueue: 1, QueueTimeout: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,39 +184,49 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
-// TestMatrixMini runs a tiny 2x2 matrix end to end: every cell must
-// produce a self-consistent summary against its own fresh daemon, and
-// the chaos cell must exercise the fault injector without producing
+// TestMatrixMini runs two scenarios against two server configurations
+// end to end: every (scenario, config) run must produce a
+// self-consistent summary against its own fresh daemon, and the chaos
+// scenario's fault spec must reach a live injector without producing
 // unexpected errors.
 func TestMatrixMini(t *testing.T) {
-	m := Matrix{
-		Scenarios: []Scenario{
-			{
-				Name: "mini-steady", Seed: 1, Requests: 40,
-				Arrival:  ArrivalSpec{Process: "closed", Concurrency: 4},
-				Mix:      map[string]float64{"optimize": 3, "sweep": 1, "models": 1},
-				HitRatio: 0.5, KeySpace: 8,
-			},
-			{
-				Name: "mini-chaos", Seed: 2, Requests: 40,
-				Arrival:  ArrivalSpec{Process: "closed", Concurrency: 4},
-				Mix:      map[string]float64{"optimize": 1},
-				HitRatio: 0.5, KeySpace: 8,
-				Faults:  "seed=3,error=0.2",
-				Retries: 3,
-			},
+	scenarios := []Scenario{
+		{
+			Name: "mini-steady", Seed: 1, Requests: 40,
+			Arrival:  ArrivalSpec{Process: "closed", Concurrency: 4},
+			Mix:      map[string]float64{"optimize": 3, "sweep": 1, "models": 1},
+			HitRatio: 0.5, KeySpace: 8,
 		},
-		Servers: []ServerConfig{
-			{Name: "baseline"},
-			{Name: "small", Workers: 1, CacheEntries: 16, MaxInflight: 2, MaxQueue: 2},
+		{
+			Name: "mini-chaos", Seed: 2, Requests: 40,
+			Arrival:  ArrivalSpec{Process: "closed", Concurrency: 4},
+			Mix:      map[string]float64{"optimize": 1},
+			HitRatio: 0.5, KeySpace: 8,
+			Faults:  "seed=3,error=0.2",
+			Retries: 3,
 		},
 	}
-	sums, err := RunMatrix(context.Background(), m, MatrixOptions{})
-	if err != nil {
-		t.Fatal(err)
+	servers := []struct {
+		name string
+		cfg  server.Config
+	}{
+		{"baseline", server.Config{}},
+		{"small", server.Config{Workers: 1, CacheEntries: 16, MaxInflight: 2, MaxQueue: 2}},
 	}
-	if len(sums) != 4 {
-		t.Fatalf("got %d summaries, want 4", len(sums))
+	var sums []Summary
+	for _, sc := range scenarios {
+		for _, srv := range servers {
+			baseURL, stop, err := StartInProcess(sc, srv.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := Run(context.Background(), sc, RunConfig{BaseURL: baseURL, ServerName: srv.name})
+			stop()
+			if err != nil {
+				t.Fatalf("(%s, %s): %v", sc.Name, srv.name, err)
+			}
+			sums = append(sums, sum)
+		}
 	}
 	for _, s := range sums {
 		if s.Requests != 40 {

@@ -5,6 +5,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"github.com/calcm/heterosim/internal/model"
 )
 
 // benchPost drives one request through the full handler stack.
@@ -147,4 +149,72 @@ func BenchmarkCachedParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchModelBody returns the cold-optimize benchmark body for one
+// backend; the default backend keeps the field omitted so it measures
+// the exact legacy path.
+func benchModelBody(name string) string {
+	if name == model.DefaultName {
+		return benchOptimizeBody
+	}
+	return benchOptimizeBody[:len(benchOptimizeBody)-1] + `,"model":"` + name + `"}`
+}
+
+// benchModelOptimizeCold measures a cold /v1/optimize under one backend
+// through the full handler stack, cache storage disabled.
+func benchModelOptimizeCold(b *testing.B, name string) {
+	s := newBenchServer(b, -1)
+	body := benchModelBody(name)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchPost(b, s, "/v1/optimize", body)
+	}
+}
+
+// BenchmarkModelOptimizeCold compares cold optimize latency across the
+// whole backend registry; the chung case is the legacy omitted-field
+// path, so the sub-benchmark spread is the price of each model.
+func BenchmarkModelOptimizeCold(b *testing.B) {
+	for _, name := range model.Names() {
+		b.Run(name, func(b *testing.B) { benchModelOptimizeCold(b, name) })
+	}
+}
+
+// benchCompareBody is a two-pair compare: each pair is two full roadmap
+// projections, so cold latency here is the most expensive buffered
+// operation in the registry.
+const benchCompareBody = `{"workload":"FFT-1024","f":0.99,"pairs":[{"scenario":1},{"scenario":2}]}`
+
+// benchFrontierBody is the frontier stream's request: one trajectory
+// set, streamed node-by-node, never cached.
+const benchFrontierBody = `{"workload":"FFT-1024","f":0.99,"scenario":2}`
+
+func BenchmarkCompareCold(b *testing.B) {
+	s := newBenchServer(b, -1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchPost(b, s, "/v1/compare", benchCompareBody)
+	}
+}
+
+func BenchmarkCompareCached(b *testing.B) {
+	s := newBenchServer(b, 4096)
+	benchPost(b, s, "/v1/compare", benchCompareBody)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPost(b, s, "/v1/compare", benchCompareBody)
+	}
+}
+
+// BenchmarkFrontierStream measures one full frontier stream through
+// the generic NDJSON pipeline. There is no cached variant: streams
+// bypass the cache by design, so this is the pipeline's floor.
+func BenchmarkFrontierStream(b *testing.B) {
+	s := newBenchServer(b, -1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchPost(b, s, "/v1/frontier/stream", benchFrontierBody)
+	}
 }
